@@ -165,7 +165,7 @@ class ShardedWriteRaceError(RuntimeError):
     """Two shard workers wrote conflicting values to shared state.
 
     Raised at the gather barrier by the write-race detector
-    (``ShardedBSPEngine(check=True)`` / ``REPRO_SHARDED_CHECK=1``) when
+    (``ShardedBSPEngine(check=True)``) when
     per-worker write-sets over the shared ``values`` array overlap with
     differing values — the outcome of the corresponding unchecked run
     would depend on worker scheduling.
@@ -189,23 +189,6 @@ class ShardedWriteRaceError(RuntimeError):
         super().__init__(message)
         self.superstep = superstep
         self.conflicts = conflicts
-
-
-def _check_mode_from_env() -> bool:
-    """Resolve the ``REPRO_SHARDED_CHECK`` default for ``check=None``."""
-    env = os.environ.get("REPRO_SHARDED_CHECK", "").strip().lower()
-    return env not in ("", "0", "false", "no", "off")
-
-
-def _flight_recorder_from_env() -> bool:
-    """Resolve ``REPRO_FLIGHT_RECORDER`` for ``flight_recorder=None``.
-
-    The recorder is **default-on** (its steady cost is a handful of
-    48-byte ring writes per worker per superstep); the variable exists
-    to switch it off wholesale for overhead A/B runs.
-    """
-    env = os.environ.get("REPRO_FLIGHT_RECORDER", "").strip().lower()
-    return env not in ("0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +511,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         Override the default with the ``REPRO_SHARDED_WIRE`` environment
         variable.  Cumulative traffic is exposed as :attr:`pipe_bytes`.
     check:
-        Enable the write-race detector (default: the
-        ``REPRO_SHARDED_CHECK`` environment variable, off when unset).
+        Enable the write-race detector (off by default).
         In check mode every worker executes ``arc_payload`` on a private
         copy of the shared ``values`` array and publishes the post-call
         copy to a per-worker shadow block; the parent diffs the shadow
@@ -542,12 +524,12 @@ class ShardedBSPEngine(DenseBSPEngine):
         per delivering superstep.
     flight_recorder:
         Worker flight recorder (shared-memory event rings; see
-        :mod:`repro.telemetry.flightrec`).  **Default-on**: ``None``
-        resolves via the ``REPRO_FLIGHT_RECORDER`` environment variable
-        (on unless explicitly disabled), ``False`` disables, ``True``
-        builds a default :class:`~repro.telemetry.flightrec.FlightRecorder`,
-        and an unbound instance is adopted (the engine opens and closes
-        it).  With a recorder attached, workers bracket every task with
+        :mod:`repro.telemetry.flightrec`).  **Default-on** (its steady
+        cost is a handful of 48-byte ring writes per worker per
+        superstep): ``None`` or ``True`` builds a default
+        :class:`~repro.telemetry.flightrec.FlightRecorder`, ``False``
+        disables, and an unbound instance is adopted (the engine opens
+        and closes it).  With a recorder attached, workers bracket every task with
         enter/exit ring events, tick gather progress per arc chunk, and
         sample RSS; the engine computes per-barrier straggler skew
         (``straggler_skew_ns`` / ``straggler_count`` telemetry
@@ -581,7 +563,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         partition: str | np.ndarray = "hash",
         start_method: str | None = None,
         wire: str | None = None,
-        check: bool | None = None,
+        check: bool = False,
         flight_recorder: "FlightRecorder | bool | None" = None,
         stall_timeout: float | None = None,
         combine_messages: bool = False,
@@ -611,7 +593,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         self.wire_format = wire
         self._wire = make_wire(wire)
         #: Write-race detector state (see the ``check`` parameter).
-        self.check = _check_mode_from_env() if check is None else bool(check)
+        self.check = bool(check)
         #: Cumulative bytes put on / read from the worker pipes (frame
         #: payloads; excludes the OS pipe framing).  Always maintained,
         #: telemetry or not — the byte-packing tests assert on it.
@@ -623,9 +605,7 @@ class ShardedBSPEngine(DenseBSPEngine):
                 raise ValueError("stall_timeout must be positive")
         #: Stall deadline in seconds (None: never time a worker out).
         self.stall_timeout = stall_timeout
-        if flight_recorder is None:
-            flight_recorder = _flight_recorder_from_env()
-        if flight_recorder is True:
+        if flight_recorder is None or flight_recorder is True:
             recorder: FlightRecorder | None = FlightRecorder()
         elif flight_recorder is False:
             recorder = None

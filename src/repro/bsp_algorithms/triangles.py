@@ -19,9 +19,7 @@ actual triangles — 181x the shared-memory writes for 9.4x the time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from typing import Sequence
 
 import numpy as np
@@ -30,14 +28,9 @@ from repro.bsp.instrumentation import record_superstep
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.dag import ascending_orientation
-from repro.graph.wedges import (
-    WEDGE_BATCH,
-    WedgeIndex,
-    build_wedge_index,
-    iter_closed_wedges,
-)
+from repro.graph.wedges import triangle_corners
 from repro.runtime.loops import Tracer
-from repro.telemetry.core import NULL_TELEMETRY, worker_track
+from repro.telemetry.core import NULL_TELEMETRY
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
@@ -101,70 +94,19 @@ class BSPTriangleResult:
         return sum(self.messages_per_superstep)
 
 
-# -- sharded closure scan (multiprocessing.Pool helpers) ---------------
-_SCAN_INDEX: WedgeIndex | None = None
-
-
-def _scan_init(index: WedgeIndex) -> None:
-    """Pool initializer: stash the wedge index once per worker."""
-    global _SCAN_INDEX
-    _SCAN_INDEX = index
-
-
-def _scan_arc_range(
-    arc_range: tuple[int, int],
-) -> tuple[int, np.ndarray, int]:
-    """Closure-scan one contiguous out-arc range.
-
-    Returns ``(closed, per_vertex, busy_ns)`` — the triangle count of
-    the range, the per-minimum-corner histogram, and the worker's busy
-    time for telemetry attribution.
-    """
-    t0 = time.perf_counter_ns()
-    index = _SCAN_INDEX
-    n = index.num_vertices
-    per_vertex = np.zeros(n, dtype=np.int64)
-    closed = 0
-    for u, _centre, _w, hit in iter_closed_wedges(
-        index, batch_size=WEDGE_BATCH, arc_range=arc_range
-    ):
-        hits = int(np.count_nonzero(hit))
-        closed += hits
-        if hits:
-            per_vertex += np.bincount(u[hit], minlength=n)
-    return closed, per_vertex, time.perf_counter_ns() - t0
-
-
-def _arc_ranges(index: WedgeIndex, num_workers: int) -> list[tuple[int, int]]:
-    """Split the out-arcs into contiguous ranges of ~equal wedge load."""
-    m = int(index.dag_dst.size)
-    cum = np.concatenate([[0], np.cumsum(index.wedges_per_arc)])
-    total = int(cum[-1])
-    bounds = [0]
-    for i in range(1, num_workers):
-        b = int(np.searchsorted(cum, total * i // num_workers))
-        bounds.append(min(max(b, bounds[-1]), m))
-    bounds.append(m)
-    return [(bounds[i], bounds[i + 1]) for i in range(num_workers)]
-
-
 def bsp_count_triangles(
     graph: CSRGraph,
     *,
     costs: KernelCosts = DEFAULT_COSTS,
-    num_workers: int | None = None,
     telemetry=None,
 ) -> BSPTriangleResult:
     """Vectorized whole-superstep execution of Algorithm 3.
 
-    ``num_workers`` > 1 shards the superstep-2 closure scan (the
-    dominant cost — one membership test per possible triangle) over a
-    process pool, each worker taking one contiguous out-arc range of
-    roughly equal wedge load.  Per-range triangle counts and
-    per-minimum-corner histograms are integers, so the merge is exact
-    and the result is bit-identical to the serial scan.  ``telemetry``
-    records one wall-clock span per superstep plus per-worker scan
-    spans, without affecting results.
+    Message counts and the work trace are analytic in the degrees of
+    the id-oriented DAG; only the superstep-2 closure hits need the
+    triangles themselves, which :func:`~repro.graph.wedges.triangle_corners`
+    counts at their first (minimum-id) corner.  ``telemetry`` records
+    one wall-clock span per superstep, without affecting results.
     """
     if graph.directed:
         raise ValueError("BSP triangle counting requires an undirected graph")
@@ -172,12 +114,11 @@ def bsp_count_triangles(
     n = graph.num_vertices
     tracer = Tracer(label="bsp/triangles")
     dag = ascending_orientation(graph)
-    # Wedge enumeration + closure check shared with the GraphCT kernel
-    # ("both algorithms perform the same number of reads to the graph").
-    index = build_wedge_index(dag)
-    dag_dst = index.dag_dst
-    in_degree = index.in_degree
-    wedges_per_arc = index.wedges_per_arc
+    dag_dst = dag.col_idx
+    # Vertex v receives in_degree(v) superstep-0 messages; the out-arc
+    # v -> w forwards each of them, so it carries in_degree(v) wedges.
+    in_degree = np.bincount(dag_dst, minlength=n).astype(np.int64, copy=False)
+    wedges_per_arc = in_degree[dag.arc_sources()]
 
     message_hist: list[int] = []
     active_hist: list[int] = []
@@ -209,7 +150,7 @@ def bsp_count_triangles(
     # vertex v receives in_degree(v) messages and forwards each to its
     # out_degree(v) higher neighbours: wedge count = sum in*out.
     step_start = tel.now()
-    s1_sent = index.total_wedges
+    s1_sent = int(wedges_per_arc.sum())
     enq1 = (
         np.bincount(dag_dst, weights=wedges_per_arc, minlength=n).astype(
             np.int64
@@ -242,39 +183,10 @@ def bsp_count_triangles(
     # Each wedge is one message (payload u = m, destination w); a hit
     # notifies the minimum corner m.
     step_start = tel.now()
-    per_vertex = np.zeros(n, dtype=np.int64)
-    total_triangles = 0
-    if num_workers is not None and num_workers > 1 and s1_sent:
-        # Sharded closure scan: disjoint contiguous out-arc ranges
-        # partition the wedge set; integer merges keep the count and
-        # histogram bit-identical to the serial scan.
-        method = "fork" if "fork" in get_all_start_methods() else "spawn"
-        ranges = _arc_ranges(index, num_workers)
-        with get_context(method).Pool(
-            processes=num_workers, initializer=_scan_init, initargs=(index,)
-        ) as pool:
-            for wkr, (closed, hist, busy_ns) in enumerate(
-                pool.imap(_scan_arc_range, ranges)
-            ):
-                total_triangles += closed
-                per_vertex += hist
-                if tel.enabled:
-                    t_recv = tel.now()
-                    tel.add_span(
-                        "scan", max(step_start, t_recv - busy_ns), t_recv,
-                        category="worker", track=worker_track(wkr),
-                        superstep=2, worker=wkr,
-                        arcs=int(ranges[wkr][1] - ranges[wkr][0]),
-                        closed=int(closed),
-                    )
-    else:
-        for u, _centre, _w, hit in iter_closed_wedges(
-            index, batch_size=WEDGE_BATCH
-        ):
-            closed = int(np.count_nonzero(hit))
-            total_triangles += closed
-            if closed:
-                per_vertex += np.bincount(u[hit], minlength=n)
+    # The closure kernel is shared with GraphCT ("both algorithms
+    # perform the same number of reads to the graph").
+    per_vertex = triangle_corners(dag).first
+    total_triangles = int(per_vertex.sum())
 
     s1_receivers = int(np.count_nonzero(enq1))
     s2_sent = total_triangles                     # found-notifications

@@ -1,29 +1,115 @@
-"""Batched ordered-wedge enumeration over an oriented DAG.
+"""Closed-wedge counting over an oriented DAG.
 
 Both triangle counters — the shared-memory GraphCT kernel
 (:mod:`repro.graphct.triangles`) and the BSP Algorithm 3 rendition
 (:mod:`repro.bsp_algorithms.triangles`) — walk the same wedge set: for
 every DAG arc ``centre → w``, one wedge per in-neighbour ``u`` of the
-centre, closed iff the arc ``u → w`` exists.  The enumeration and the
-binary-search closure test live here so the two counters cannot drift;
-they differ only in how wedges are *charged* (implicit loop reads vs.
-materialized possible-triangle messages).
+centre, closed iff the arc ``u → w`` exists.  Both find the closed
+wedges with one kernel, :func:`triangle_corners`, so the two counters
+cannot drift; they differ only in how wedges are *charged* (implicit
+loop reads vs. materialized possible-triangle messages).
+
+:func:`triangle_corners` intersects adjacency rows as a masked sparse
+product over the DAG's adjacency matrix ``U``.  :func:`build_wedge_index`
+and :func:`iter_closed_wedges` enumerate every wedge explicitly and
+close it with a binary search; they are the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_arange
 
-__all__ = ["WEDGE_BATCH", "WedgeIndex", "build_wedge_index", "iter_closed_wedges"]
+__all__ = [
+    "WEDGE_BATCH",
+    "TriangleCorners",
+    "WedgeIndex",
+    "build_wedge_index",
+    "iter_closed_wedges",
+    "triangle_corners",
+]
 
-#: Wedges processed per vectorized batch (bounds peak memory).
-WEDGE_BATCH = 4_000_000
+#: Work per vectorized batch, in wedges or sparse-product multiply-adds.
+#: Bounds peak memory, which triangle jobs add to the serving process:
+#: a scale-14 count peaks ~24 MB higher at 4M than at 500k.
+WEDGE_BATCH = 500_000
+
+
+class TriangleCorners(NamedTuple):
+    """Triangles per vertex, split by the corner the vertex occupies.
+
+    A triangle ``u → c → w`` (with ``u → w``) of the DAG counts once at
+    its ``first`` corner ``u``, once at its ``middle`` corner ``c`` and
+    once at its ``last`` corner ``w``.
+    """
+
+    first: np.ndarray
+    #: None unless requested (it costs a second sparse product).
+    middle: np.ndarray | None
+    last: np.ndarray
+
+
+def triangle_corners(dag: CSRGraph, *, middle: bool = False) -> TriangleCorners:
+    """Count the DAG's triangles at each corner position.
+
+    With ``U`` the DAG's 0/1 adjacency matrix, ``(U @ U) ∘ U`` holds at
+    ``[u, w]`` the number of triangles whose first and last corners are
+    ``u`` and ``w``: its row sums are the first-corner counts and its
+    column sums the last-corner counts.  Likewise ``(U @ Uᵀ) ∘ Uᵀ``
+    holds at ``[c, u]`` the number of triangles with middle corner
+    ``c`` and first corner ``u``; its row sums are the middle-corner
+    counts.
+    """
+    # Deferred: scipy costs every importer of this module ~20 MB of RSS.
+    from scipy import sparse
+
+    n = dag.num_vertices
+    # Product entries count paths, at most n, so int32 values suffice;
+    # the row and column sums accumulate in int64.
+    adj = sparse.csr_array(
+        (np.ones(dag.num_arcs, dtype=np.int32), dag.col_idx, dag.row_ptr),
+        shape=(n, n),
+    )
+    first, last = _masked_product_sums(adj, adj, adj)
+    mid = None
+    if middle:
+        adj_t = adj.T.tocsr()
+        mid, _ = _masked_product_sums(adj, adj_t, adj_t)
+    return TriangleCorners(first, mid, last)
+
+
+def _masked_product_sums(left, right, mask):
+    """Row and column sums of ``(left @ right) ∘ mask``.
+
+    The product is evaluated in contiguous row blocks whose multiply-add
+    count stays near :data:`WEDGE_BATCH` (always at least one row per
+    block), which bounds the intermediate's memory.
+    """
+    n = left.shape[0]
+    rows = np.zeros(n, dtype=np.int64)
+    cols = np.zeros(n, dtype=np.int64)
+    # Row r of left costs one multiply-add per nonzero of every row of
+    # right it selects; row_cum[r] is the cost of the rows before r.
+    nnz_cum = np.zeros(left.nnz + 1, dtype=np.int64)
+    np.cumsum(np.diff(right.indptr)[left.indices], out=nnz_cum[1:])
+    row_cum = nnz_cum[left.indptr]
+    lo = 0
+    while lo < n:
+        hi = int(
+            np.searchsorted(row_cum, row_cum[lo] + WEDGE_BATCH, "right")
+        ) - 1
+        hi = min(max(hi, lo + 1), n)
+        closed = (left[lo:hi] @ right).multiply(mask[lo:hi])
+        rows[lo:hi] = closed.sum(axis=1)
+        cols += closed.sum(axis=0)
+        lo = hi
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -89,7 +175,6 @@ def iter_closed_wedges(
     index: WedgeIndex,
     *,
     batch_size: int = WEDGE_BATCH,
-    arc_range: tuple[int, int] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Enumerate wedges in batches with their closure verdicts.
 
@@ -99,12 +184,6 @@ def iter_closed_wedges(
     into a triangle.  Batches cover the out-arcs in CSR order and are
     sized to roughly ``batch_size`` wedges (always at least one arc, so
     a single pathological hub cannot stall progress).
-
-    ``arc_range=(lo, hi)`` restricts enumeration to the half-open
-    out-arc interval ``[lo, hi)``.  Because each wedge belongs to
-    exactly one out-arc, a partition of ``[0, num_arcs)`` into disjoint
-    ranges partitions the wedge set — the basis of the sharded closure
-    scan in :func:`repro.bsp_algorithms.triangles.bsp_count_triangles`.
     """
     dag_src = index.dag_src
     dag_dst = index.dag_dst
@@ -114,15 +193,7 @@ def iter_closed_wedges(
     wedges_per_arc = index.wedges_per_arc
     n = index.num_vertices
 
-    if arc_range is None:
-        arc_lo, arc_end = 0, int(dag_dst.size)
-    else:
-        arc_lo, arc_end = int(arc_range[0]), int(arc_range[1])
-        if not 0 <= arc_lo <= arc_end <= dag_dst.size:
-            raise ValueError(
-                f"arc_range {arc_range!r} outside [0, {dag_dst.size}]"
-            )
-
+    arc_lo, arc_end = 0, int(dag_dst.size)
     arc_starts = np.concatenate([[0], np.cumsum(wedges_per_arc)])
     while arc_lo < arc_end:
         arc_hi = int(

@@ -9,9 +9,9 @@ possible triangle as a message).
 
 A total order over vertices (ids, per Algorithm 3) restricts counting to
 triples v_i < v_j < v_k so each triangle is found exactly once.  The
-vectorized implementation enumerates ordered wedges u < v < w around each
-middle vertex v and closes them with a binary search over the oriented arc
-set; the *work accounting* charges the full triply-nested loop the paper
+vectorized implementation intersects adjacency rows of the oriented DAG
+as a masked sparse product (:func:`repro.graph.wedges.triangle_corners`);
+the *work accounting* charges the full triply-nested loop the paper
 describes (``sum_v sum_{u in N(v)} d(u)`` adjacency reads), identically
 for both programming models ("Both algorithms perform the same number of
 reads to the graph").
@@ -25,11 +25,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.dag import ascending_orientation, degree_orientation
-from repro.graph.wedges import (
-    WEDGE_BATCH,
-    build_wedge_index,
-    iter_closed_wedges,
-)
+from repro.graph.wedges import triangle_corners
 from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
@@ -90,20 +86,14 @@ def count_triangles(
 
     n = graph.num_vertices
     tracer = Tracer(label="graphct/triangles")
-    per_vertex = np.zeros(n, dtype=np.int64)
-
-    # Batched wedge enumeration + closure check (shared with the BSP
-    # counter so the two cannot drift).
-    index = build_wedge_index(dag)
-    total_wedges = index.total_wedges
-    total_triangles = 0
+    # Ordered wedges: in-degree x out-degree at every middle vertex.
+    in_degree = np.bincount(dag.col_idx, minlength=n).astype(np.int64, copy=False)
+    total_wedges = int(in_degree @ dag.degrees())
+    # Closure kernel shared with the BSP counter so the two cannot drift.
+    corners = triangle_corners(dag, middle=True)
+    total_triangles = int(corners.first.sum())
+    per_vertex = corners.first + corners.middle + corners.last
     deg = graph.degrees()
-    for u, centre, w, hit in iter_closed_wedges(index, batch_size=WEDGE_BATCH):
-        closed = int(np.count_nonzero(hit))
-        total_triangles += closed
-        if closed:
-            corners = np.concatenate([u[hit], centre[hit], w[hit]])
-            per_vertex += np.bincount(corners, minlength=n)
 
     # --- work accounting: the paper's triply-nested shared-memory loop.
     # Inner iterations = sum over all (v, u in N(v)) of d(u) = sum d(u)^2.

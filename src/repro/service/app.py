@@ -65,8 +65,7 @@ class GraphAnalyticsService:
         The graph to serve; its CSR is copied into shared memory once,
         at construction, and every job reads that copy.
     num_workers:
-        Shard worker processes for the warm engine (and the triangle
-        closure-scan pool).
+        Shard worker processes for the warm engine.
     partition:
         Vertex placement policy for the warm engine.
     job_threads:
@@ -195,7 +194,6 @@ class GraphAnalyticsService:
                     job.params,
                     self.graph,
                     engine=self.engine,
-                    num_workers=self.num_workers,
                     telemetry=tel,
                     metrics=self.metrics,
                 )

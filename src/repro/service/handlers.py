@@ -75,6 +75,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out as two writes; with Nagle's algorithm on,
+    #: the body waits for the client's delayed ACK on keep-alive.
+    disable_nagle_algorithm = True
 
     #: Per-request correlation id, resolved before dispatch.
     trace_id = ""

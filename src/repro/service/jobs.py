@@ -168,7 +168,7 @@ class JobManager:
     num_threads:
         Worker thread count.  More than one only helps jobs that do not
         contend on the single warm engine (the engine serializes runs
-        internally), e.g. cache hits and the triangles closure scan.
+        internally), e.g. cache hits and triangle counting.
     metrics:
         Registry receiving the job metrics (submission/completion
         counters, queue-wait and duration histograms, per-state gauge,

@@ -127,7 +127,6 @@ def run_algorithm(
     graph: CSRGraph,
     *,
     engine=None,
-    num_workers: int | None = None,
     telemetry=None,
     metrics=NULL_METRICS,
 ) -> dict:
@@ -135,13 +134,12 @@ def run_algorithm(
 
     ``engine`` is the service's warm :class:`ShardedBSPEngine`, reused
     (and left open) by every engine-backed algorithm.  Triangle counting
-    has no engine path — it shards its closure scan over its own pool,
-    sized by ``num_workers``.
+    has no engine path — it runs in the calling thread.
 
     ``metrics`` bridges engine activity up to the service registry:
     ``repro_engine_busy`` is 1 while an engine-backed run holds the warm
     engine, and each completed run adds its superstep count to
-    ``repro_engine_supersteps_total`` (the triangles pool counts too,
+    ``repro_engine_supersteps_total`` (triangle runs count too,
     labelled by algorithm like everything else).
     """
     busy = metrics.gauge(
@@ -149,12 +147,12 @@ def run_algorithm(
         "Engine-backed jobs currently executing or awaiting the warm "
         "engine (they serialize on its internal lock).",
     )
-    if algorithm != "triangles":  # triangles runs on its own pool
+    if algorithm != "triangles":  # triangles never touches the engine
         busy.inc()
     try:
         common = _dispatch(
             algorithm, params, graph,
-            engine=engine, num_workers=num_workers, telemetry=telemetry,
+            engine=engine, telemetry=telemetry,
         )
     finally:
         if algorithm != "triangles":
@@ -178,7 +176,6 @@ def _dispatch(
     graph: CSRGraph,
     *,
     engine=None,
-    num_workers: int | None = None,
     telemetry=None,
 ) -> dict:
     """The per-algorithm wrapper calls behind :func:`run_algorithm`."""
@@ -225,9 +222,7 @@ def _dispatch(
             "core_size": int(in_core.sum()),
         }
     elif algorithm == "triangles":
-        res = bsp_count_triangles(
-            graph, num_workers=num_workers, telemetry=telemetry
-        )
+        res = bsp_count_triangles(graph, telemetry=telemetry)
         common = {
             "values": _num_list(res.per_vertex),
             "total_triangles": int(res.total_triangles),

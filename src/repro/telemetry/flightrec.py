@@ -790,16 +790,18 @@ def straggler_skew_ns(busy_ns: Iterable[int]) -> tuple[int, int]:
     """Classify one barrier's per-worker busy times.
 
     Returns ``(skew_ns, straggler_count)`` where ``skew_ns`` is the gap
-    between the slowest worker and the *median* worker — the quantity
-    the BSP cost model assumes is zero (a superstep is priced by its
-    slowest worker, so skew is pure loss) — and ``straggler_count`` is
-    how many workers ran more than twice the median (and at least 1 ms
-    over it, so sub-millisecond barriers never classify).
+    between the slowest worker and the *lower median* worker — the
+    quantity the BSP cost model assumes is zero (a superstep is priced
+    by its slowest worker, so skew is pure loss) — and
+    ``straggler_count`` is how many workers ran more than twice that
+    median (and at least 1 ms over it, so sub-millisecond barriers never
+    classify).  The lower median makes two workers report slowest minus
+    fastest rather than a constant zero.
     """
     values = sorted(int(v) for v in busy_ns)
     if len(values) < 2:
         return 0, 0
-    median = values[len(values) // 2]
+    median = values[(len(values) - 1) // 2]
     skew = max(0, values[-1] - median)
     stragglers = sum(
         1 for v in values if v > 2 * median and v - median > 1_000_000

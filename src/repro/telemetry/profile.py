@@ -112,9 +112,7 @@ def run_profile(
     if algorithm == "triangles":
         from repro.bsp_algorithms.triangles import bsp_count_triangles
 
-        res = bsp_count_triangles(
-            graph, num_workers=num_workers, telemetry=telemetry
-        )
+        res = bsp_count_triangles(graph, telemetry=telemetry)
         return res.trace, {
             "num_supersteps": res.num_supersteps,
             "total_triangles": res.total_triangles,

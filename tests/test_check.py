@@ -557,37 +557,24 @@ class TestWriteRaceDetector:
             with pytest.warns(RuntimeWarning, match="must be read-only"):
                 engine.run(_BenignWriteCC())
 
-    def test_env_enabled_check_matches_reference_engine(
-        self, medium_graph, monkeypatch
-    ):
+    def test_check_mode_matches_reference_engine(self, medium_graph):
         from repro.bsp import BSPEngine
         from repro.bsp_algorithms import BSPConnectedComponents
         from tests.test_dense_engine import assert_results_equal
 
         ref = BSPEngine(medium_graph).run(BSPConnectedComponents())
-        monkeypatch.setenv("REPRO_SHARDED_CHECK", "1")
         for workers in WORKER_COUNTS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero races reported
                 with ShardedBSPEngine(
-                    medium_graph, num_workers=workers
+                    medium_graph, num_workers=workers, check=True
                 ) as engine:
                     assert engine.check is True
                     res = engine.run(DenseConnectedComponents())
             assert_results_equal(ref, res)
 
-    def test_check_off_by_default_and_env_flips_it(
-        self, medium_graph, monkeypatch
-    ):
+    def test_check_off_by_default(self, medium_graph):
         with ShardedBSPEngine(medium_graph, num_workers=1) as engine:
-            assert engine.check is False
-        monkeypatch.setenv("REPRO_SHARDED_CHECK", "1")
-        with ShardedBSPEngine(medium_graph, num_workers=1) as engine:
-            assert engine.check is True
-        # Explicit kwarg beats the environment.
-        with ShardedBSPEngine(
-            medium_graph, num_workers=1, check=False
-        ) as engine:
             assert engine.check is False
 
     def test_racy_program_untouched_without_check(self, medium_graph):

@@ -19,11 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bsp import DenseBSPEngine, ShardedBSPEngine
-from repro.bsp.parallel import (
-    ShardedWorkerError,
-    WorkerStallError,
-    _flight_recorder_from_env,
-)
+from repro.bsp.parallel import ShardedWorkerError, WorkerStallError
 from repro.bsp_algorithms import DenseConnectedComponents
 from repro.graph import rmat
 from repro.telemetry.flightrec import (
@@ -280,9 +276,15 @@ class TestStragglerSkew:
         assert straggler_skew_ns([5]) == (0, 0)
 
     def test_balanced_barrier_has_no_stragglers(self):
+        # Even counts measure against the lower median (101).
         skew, count = straggler_skew_ns([100, 101, 102, 103])
-        assert skew == 1
+        assert skew == 2
         assert count == 0
+
+    def test_two_workers_skew_is_slowest_minus_fastest(self):
+        # The upper median of two workers is the slowest one, which
+        # would pin the skew at zero.
+        assert straggler_skew_ns([10_000_000, 30_000_000]) == (20_000_000, 1)
 
     def test_slow_worker_classifies(self):
         ms = 1_000_000
@@ -426,15 +428,6 @@ class TestEngineIntegration:
             assert [row["worker"] for row in rows] == [0, 1]
             assert all(row["alive"] for row in rows)
             assert all("phase" not in row for row in rows)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIGHT_RECORDER", raising=False)
-        assert _flight_recorder_from_env() is True
-        for off in ("0", "false", "no", "OFF"):
-            monkeypatch.setenv("REPRO_FLIGHT_RECORDER", off)
-            assert _flight_recorder_from_env() is False
-        monkeypatch.setenv("REPRO_FLIGHT_RECORDER", "1")
-        assert _flight_recorder_from_env() is True
 
     def test_skew_samples_accumulate(self, graph, tmp_path):
         with ShardedBSPEngine(

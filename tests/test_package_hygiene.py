@@ -2,8 +2,11 @@
 the README quickstart actually runs, docstrings exist on public API."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,14 @@ def test_module_docstring_quickstart_runs():
     code = "\n".join(code_lines).replace("scale=14", "scale=10")
     assert "rmat" in code
     exec(compile(code, "<repro.__doc__>", "exec"), {})
+
+
+def test_service_import_defers_scipy():
+    """scipy (~20 MB of RSS) loads only when a triangle count runs."""
+    code = (
+        "import sys, repro.service.app, repro.graph.wedges; "
+        "sys.exit('scipy' in sys.modules)"
+    )
+    src = Path(repro.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

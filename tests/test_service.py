@@ -6,11 +6,14 @@ they exercise the exact stack ``repro serve`` runs — handler threads,
 job queue, warm-engine reuse, LRU cache, telemetry counters.
 """
 
+import http.client
 import json
 import re
+import statistics
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -250,6 +253,25 @@ class TestServiceHTTP:
         assert code == 200
         assert info["fingerprint"] == graph.fingerprint()
 
+    def test_keep_alive_responses_do_not_stall(self, client):
+        # Headers and body leave in separate writes; with Nagle on, the
+        # body waits for the client's delayed ACK (~40 ms) on every
+        # keep-alive response.
+        url = urllib.parse.urlsplit(client.base)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            elapsed = []
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request("GET", "/health")
+                resp = conn.getresponse()
+                resp.read()
+                elapsed.append(time.perf_counter() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020
+
     def test_submit_poll_fetch_matches_library(self, client, graph):
         code, sub = client.post(
             "/jobs", {"algorithm": "cc", "params": {}}
@@ -266,16 +288,14 @@ class TestServiceHTTP:
         assert res["result"]["num_supersteps"] == lib.num_supersteps
 
     def test_every_algorithm_serves_bit_identical_values(
-        self, client, graph, service
+        self, client, graph
     ):
         lib = {
             "sssp": bsp_sssp(graph, 5).distances.tolist(),
             "kcore": np.asarray(
                 bsp_k_core(graph, 2).in_core, dtype=bool
             ).tolist(),
-            "triangles": bsp_count_triangles(
-                graph, num_workers=service.num_workers
-            ).per_vertex.tolist(),
+            "triangles": bsp_count_triangles(graph).per_vertex.tolist(),
         }
         params = {"sssp": {"source": 5}, "kcore": {"k": 2}, "triangles": {}}
         jobs = {}

@@ -34,6 +34,11 @@ from repro.bsp_algorithms import (
     DenseShortestPaths,
 )
 from repro.graph import from_edge_list, rmat, star_graph
+from repro.telemetry.flightrec import (
+    FlightRecorder,
+    list_postmortems,
+    load_postmortem,
+)
 from tests.test_dense_engine import assert_results_equal
 
 WORKER_COUNTS = [
@@ -172,9 +177,13 @@ class PoisonPayloadCC(DenseConnectedComponents):
 
 
 class TestShardedCrashSafety:
-    def test_raising_program_surfaces_worker_error(self):
+    def test_raising_program_surfaces_worker_error(self, tmp_path):
         g = rmat(scale=6, edge_factor=8, seed=3)
-        engine = ShardedBSPEngine(g, num_workers=2)
+        recorder = FlightRecorder(
+            postmortem_dir=tmp_path / "postmortem",
+            beacon_dir=tmp_path / "flightrec",
+        )
+        engine = ShardedBSPEngine(g, num_workers=2, flight_recorder=recorder)
         try:
             with pytest.raises(ShardedWorkerError, match="injected"):
                 engine.run(PoisonPayloadCC())
@@ -186,6 +195,9 @@ class TestShardedCrashSafety:
         finally:
             engine.close()
         assert all(not p.is_alive() for p in engine._procs)
+        (bundle,) = list_postmortems(tmp_path / "postmortem")
+        pm = load_postmortem(tmp_path / "postmortem", bundle)
+        assert pm["reason"] == "worker_error"
 
     def test_close_is_idempotent_and_terminal(self):
         g = star_graph(5)

@@ -1,7 +1,7 @@
 """End-to-end smoke test for ``repro serve`` as a real subprocess.
 
-Starts the server on a scale-8 RMAT graph, submits ``cc`` and ``bfs``
-jobs over HTTP, asserts the served results are bit-identical to direct
+Starts the server on a scale-8 RMAT graph, submits ``cc``, ``bfs`` and
+``triangles`` jobs over HTTP, asserts the served results are bit-identical to direct
 library calls on the same graph, exercises one result-cache hit,
 scrapes ``/metrics`` and validates the Prometheus exposition (format
 and the core metric families), then sends SIGTERM and verifies the
@@ -160,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.bsp_algorithms import (
             bsp_breadth_first_search,
             bsp_connected_components,
+            bsp_count_triangles,
         )
         from repro.graph import rmat
 
@@ -181,6 +182,17 @@ def main(argv: list[str] | None = None) -> int:
         assert bfs_res["result"]["values"] == bfs_lib.distances.tolist(), \
             "served bfs distances diverge from the library call"
         print(f"bfs ok: {len(bfs_res['result']['frontier_sizes'])} levels")
+
+        tri_res = _submit_and_fetch(base, "triangles", {})["result"]
+        tri_lib = bsp_count_triangles(graph)
+        assert tri_res["values"] == tri_lib.per_vertex.tolist(), \
+            "served per-vertex triangle counts diverge from the library call"
+        assert tri_res["total_triangles"] == tri_lib.total_triangles
+        assert tri_res["possible_triangles"] == tri_lib.possible_triangles
+        assert tri_res["messages_per_superstep"] == \
+            tri_lib.messages_per_superstep
+        print(f"triangles ok: {tri_lib.total_triangles} triangles, "
+              f"{tri_lib.possible_triangles} possible")
 
         # An identical resubmit must be served from the cache.
         cc_again = _submit_and_fetch(base, "cc", {})

@@ -1,21 +1,18 @@
-"""Direction-optimized BFS and byte-packed wire framing.
+"""Direction-optimized BFS, on one core and on the sharded engine.
 
-Two performance claims from the frontier work, both gated by the bench
-ledger:
+The performance claim from the frontier work, gated by the bench
+ledger: the pre-frontier BFS always swept the whole arc array top-down
+and materialized the inbox every superstep.  The adaptive run switches
+to sparse selections on small frontiers and to bottom-up past the apex,
+with bit-identical distances and modeled message counts — only wall
+time and performed arc scans change.
 
-* **Direction optimization** — the pre-frontier BFS always swept the
-  whole arc array top-down and materialized the inbox every superstep.
-  The adaptive run switches to sparse selections on small frontiers and
-  to bottom-up past the apex, with bit-identical distances and modeled
-  message counts — only wall time and performed arc scans change.
-* **Wire framing** — the sharded engine's byte-packed sender frames
-  replace whole-object pickling on the worker pipes;
-  :attr:`~repro.bsp.parallel.ShardedBSPEngine.pipe_bytes` records the
-  bytes actually crossing the pipes under each codec.  Raw byte counts
-  are asserted inline (packed < pickled) but kept out of the ledger
-  payload: the pickled frames embed worker counters whose integer
-  encodings drift a few bytes run to run, which would trip the exact
-  gate.  The gated metric is the noisy ``packed_fraction`` ratio.
+The same BFS also runs on a 2-worker
+:class:`~repro.bsp.parallel.ShardedBSPEngine`, asserted bit-identical
+to the adaptive dense run.  Its
+:attr:`~repro.bsp.parallel.ShardedBSPEngine.pipe_bytes` is recorded as
+``pipe_bytes``: every pipe frame has a fixed layout, so the count is
+deterministic for a given config and any drift is a protocol change.
 """
 
 import time
@@ -79,24 +76,17 @@ def bench_frontier(benchmark, workload, capsys):
             lambda: DenseBSPEngine(graph),
             lambda: DenseBreadthFirstSearch(source),
         )
-        # Wire framing: the same BFS over 2 workers under each codec.
-        pipe_bytes = {}
-        sharded_values = {}
-        for wire in ("packed", "pickle"):
-            with ShardedBSPEngine(
-                graph, num_workers=2, wire=wire
-            ) as engine:
-                sharded = engine.run(DenseBreadthFirstSearch(source))
-                pipe_bytes[wire] = engine.pipe_bytes
-                sharded_values[wire] = sharded.values
+        # The same BFS over 2 shard workers.
+        with ShardedBSPEngine(graph, num_workers=2) as engine:
+            sharded = engine.run(DenseBreadthFirstSearch(source))
         return (
             legacy, adaptive, adaptive_program,
-            t_legacy, t_adaptive, pipe_bytes, sharded_values,
+            t_legacy, t_adaptive, sharded, engine.pipe_bytes,
         )
 
     (
         legacy, adaptive, adaptive_program,
-        t_legacy, t_adaptive, pipe_bytes, sharded_values,
+        t_legacy, t_adaptive, sharded, pipe_bytes,
     ) = once(benchmark, run)
 
     # Same computation under every execution strategy, not merely the
@@ -104,13 +94,12 @@ def bench_frontier(benchmark, workload, capsys):
     assert np.array_equal(legacy.values, adaptive.values)
     assert legacy.num_supersteps == adaptive.num_supersteps
     assert legacy.messages_per_superstep == adaptive.messages_per_superstep
-    for wire in ("packed", "pickle"):
-        assert np.array_equal(adaptive.values, sharded_values[wire])
-    # Byte-packed frames must beat pickled frames on the pipe.
-    assert 0 < pipe_bytes["packed"] < pipe_bytes["pickle"]
+    assert np.array_equal(adaptive.values, sharded.values)
+    assert adaptive.num_supersteps == sharded.num_supersteps
+    assert adaptive.messages_per_superstep == sharded.messages_per_superstep
+    assert pipe_bytes > 0
 
     speedup = t_legacy / t_adaptive
-    packed_fraction = pipe_bytes["packed"] / pipe_bytes["pickle"]
     scanned = adaptive_program.edges_scanned
     info = dict(
         supersteps=adaptive.num_supersteps,
@@ -119,7 +108,7 @@ def bench_frontier(benchmark, workload, capsys):
             "bottom-up"
         ),
         edges_scanned=dict(scanned),
-        packed_fraction=round(packed_fraction, 4),
+        pipe_bytes=pipe_bytes,
         seconds={
             "legacy": round(t_legacy, 4),
             "adaptive": round(t_adaptive, 4),
@@ -144,8 +133,6 @@ def bench_frontier(benchmark, workload, capsys):
             f"{format_seconds(t_legacy)} -> adaptive "
             f"{format_seconds(t_adaptive)} ({speedup:.1f}x, "
             f"{info['bottom_up_supersteps']} bottom-up supersteps, "
-            f"{scanned['bottom-up']:,} arcs scanned); pipe "
-            f"{pipe_bytes['pickle']:,} B pickled -> "
-            f"{pipe_bytes['packed']:,} B packed "
-            f"({1 / packed_fraction:.2f}x fewer)"
+            f"{scanned['bottom-up']:,} arcs scanned); 2-worker pipe "
+            f"{pipe_bytes:,} B"
         )

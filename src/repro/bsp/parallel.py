@@ -38,11 +38,13 @@ Design:
   exchange and combine only run if the program reads ``ctx.messages``,
   so message-free supersteps cost one pipe round-trip, not two.
 * **Byte-packed pipes** — per-superstep commands cross the worker pipes
-  as fixed binary frames (:mod:`repro.bsp._wire`): raw int64 sender ids
-  behind a struct header instead of pickled tuples.  Bytes-on-pipe are
-  accounted in :attr:`ShardedBSPEngine.pipe_bytes` and, with telemetry,
-  the per-superstep ``pipe_bytes`` / ``pipe_bytes_legacy`` counters.
-  ``wire="pickle"`` keeps the legacy encoding (bit-identical results).
+  as fixed binary frames (:mod:`repro.bsp._wire`).  Each shard's sender
+  ids travel once per superstep, as raw int64 bytes in the scatter
+  frame; the gather frame names only the generation whose cached arc
+  selection the worker folds, and the folded outputs return through
+  shared memory.  Bytes-on-pipe are accounted in
+  :attr:`ShardedBSPEngine.pipe_bytes` and, with telemetry, the
+  per-superstep ``pipe_bytes`` counter.
 * **Persistent pool with warm shard handles** — workers live for the
   engine's lifetime and cache their shard's arc selection between the
   scatter-accounting call and the delivery at the next superstep's
@@ -69,7 +71,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.bsp._wire import WIRE_FORMATS, legacy_frame_size, make_wire
+from repro.bsp import _wire as wire
 from repro.bsp.dense import DenseBSPEngine, DenseVertexProgram
 from repro.bsp.frontier import FrontierPolicy, select_arcs
 from repro.cluster.partition import (
@@ -239,18 +241,18 @@ def _release_block(shm: shared_memory.SharedMemory | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Arc-range chunk per ``combine.at`` call when the flight recorder is
-#: attached — a progress tick lands between chunks, so the parent can
-#: distinguish "grinding through a huge shard" from "wedged".  Chunks
-#: are applied in index order, so the fold's element ordering (and hence
-#: bit-exactness vs. the single-call path) is preserved.
+#: Arc-range chunk per ``combine.at`` call.  With the flight recorder
+#: attached a progress tick lands between chunks, so the parent can
+#: distinguish "grinding through a huge shard" from "wedged".
+#: ``ufunc.at`` applies its updates in index order, so chunking leaves
+#: the fold bit-identical to a single call.
 _PROGRESS_CHUNK_ARCS = 1 << 18
 
 _PHASE_BY_CMD = {"run": PH_RUN, "scatter": PH_SCATTER, "gather": PH_GATHER}
 
 
 def _combine_at_chunked(program, gathered_out, dst, payload, ring, step):
-    """``combine.at`` in arc-order chunks, ticking progress after each."""
+    """``combine.at`` in arc-order chunks; tick ``ring`` after each."""
     total = int(dst.size)
     # A scalar / broadcast payload cannot be sliced alongside dst.
     sliceable = payload.ndim == 1 and payload.shape[0] == total
@@ -260,7 +262,8 @@ def _combine_at_chunked(program, gathered_out, dst, payload, ring, step):
         chunk = payload[done:end] if sliceable else payload
         program.combine.at(gathered_out, dst[done:end], chunk)
         done = end
-        ring.record(EV_PROGRESS, PH_GATHER, step, done, total)
+        if ring is not None:
+            ring.record(EV_PROGRESS, PH_GATHER, step, done, total)
 
 
 def _worker_main(conn, spec: dict) -> None:
@@ -271,7 +274,7 @@ def _worker_main(conn, spec: dict) -> None:
     tasks: the run-scoped program/values/output handles and the cached
     (generation, arc selection, destinations) of the last scatter,
     reused by the gather of the following superstep.  All traffic is
-    encoded by the wire codec named in ``spec["wire"]``.
+    encoded by :mod:`repro.bsp._wire`.
 
     When the parent attached a flight recorder (``spec["flightrec"]``),
     every task brackets itself with enter/exit events in this worker's
@@ -283,7 +286,6 @@ def _worker_main(conn, spec: dict) -> None:
     n = spec["num_vertices"]
     m = spec["num_arcs"]
     w = spec["worker_index"]
-    wire = make_wire(spec["wire"])
     handles: list[shared_memory.SharedMemory] = []
     ring: RingWriter | None = None
     if spec.get("flightrec") is not None:
@@ -331,13 +333,6 @@ def _worker_main(conn, spec: dict) -> None:
     sel = dst = None
     generation = -1
 
-    def refresh_scatter(gen, senders, mode):
-        nonlocal sel, dst, generation
-        sel = select_arcs(senders, row_ptr, mode)
-        dst = col_idx[sel]
-        hist_out[:] = np.bincount(dst, minlength=n)
-        generation = gen
-
     try:
         while True:
             msg, _ = wire.recv(conn)
@@ -358,8 +353,7 @@ def _worker_main(conn, spec: dict) -> None:
             try:
                 if cmd == "run":
                     (_, program, values_name, values_dtype, gathered_name,
-                     *rest) = msg
-                    shadow_name = rest[0] if rest else None
+                     shadow_name) = msg
                     for shm in run_shms:
                         shm.close()
                     vshm = _attach(values_name)
@@ -396,8 +390,10 @@ def _worker_main(conn, spec: dict) -> None:
                         ring.record(EV_EXIT, phase, step, 0, busy)
                     wire.send(conn, ("ok", busy, rss))
                 elif cmd == "scatter":
-                    _, gen, senders, mode = msg
-                    refresh_scatter(gen, senders, mode)
+                    _, generation, senders, mode = msg
+                    sel = select_arcs(senders, row_ptr, mode)
+                    dst = col_idx[sel]
+                    hist_out[:] = np.bincount(dst, minlength=n)
                     busy = time.perf_counter_ns() - t_busy
                     rss = peak_rss_bytes() or 0
                     if ring is not None:
@@ -405,10 +401,11 @@ def _worker_main(conn, spec: dict) -> None:
                         ring.record(EV_EXIT, phase, step, int(dst.size), busy)
                     wire.send(conn, ("ok", int(dst.size), busy, rss))
                 elif cmd == "gather":
-                    _, gen, senders, mode = msg
-                    hist_fresh = gen != generation
-                    if hist_fresh:  # stale cache: no prior scatter call
-                        refresh_scatter(gen, senders, mode)
+                    if msg[1] != generation:
+                        raise RuntimeError(
+                            f"gather for generation {msg[1]} but the last "
+                            f"scatter was generation {generation}"
+                        )
                     if ring is not None:
                         # Announce the arc total up front: the watchdog
                         # can tell a slow payload hook from a dead one.
@@ -433,23 +430,15 @@ def _worker_main(conn, spec: dict) -> None:
                             program.arc_payload(graph, values, sel)
                         )
                     gathered_out[:] = program.combine_identity
-                    if dst.size:
-                        if ring is not None:
-                            _combine_at_chunked(
-                                program, gathered_out, dst, payload,
-                                ring, step,
-                            )
-                        else:
-                            program.combine.at(gathered_out, dst, payload)
+                    _combine_at_chunked(
+                        program, gathered_out, dst, payload, ring, step
+                    )
                     busy = time.perf_counter_ns() - t_busy
                     rss = peak_rss_bytes() or 0
                     if ring is not None:
                         ring.record(EV_RSS, phase, step, rss)
                         ring.record(EV_EXIT, phase, step, int(dst.size), busy)
-                    wire.send(
-                        conn,
-                        ("ok", int(dst.size), int(hist_fresh), busy, rss),
-                    )
+                    wire.send(conn, ("ok", int(dst.size), busy, rss))
                 else:
                     if ring is not None:
                         ring.record(EV_EXIT, phase, step, -1, 0)
@@ -502,14 +491,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         machine assignment array with ids in ``[0, num_workers)``.
     start_method:
         Multiprocessing start method; default ``fork`` where available
-        (cheapest pool spawn), else ``spawn``.  Override with the
-        ``REPRO_SHARDED_START_METHOD`` environment variable.
-    wire:
-        Pipe encoding for worker traffic: ``"packed"`` (binary frames,
-        the default) or ``"pickle"`` (legacy whole-tuple pickling).
-        Results are bit-identical either way; only bytes-on-pipe differ.
-        Override the default with the ``REPRO_SHARDED_WIRE`` environment
-        variable.  Cumulative traffic is exposed as :attr:`pipe_bytes`.
+        (cheapest pool spawn), else ``spawn``.
     check:
         Enable the write-race detector (off by default).
         In check mode every worker executes ``arc_payload`` on a private
@@ -551,8 +533,8 @@ class ShardedBSPEngine(DenseBSPEngine):
         engine additionally records per-worker busy spans (one trace
         row per worker), barrier spans around every exchange, per-worker
         busy/wait and shard-size counters, and per-superstep
-        ``pipe_bytes`` (plus, under the packed wire, the
-        ``pipe_bytes_legacy`` counterfactual).
+        ``pipe_bytes``.  Cumulative pipe traffic is exposed as
+        :attr:`pipe_bytes` with telemetry on or off.
     """
 
     def __init__(
@@ -562,7 +544,6 @@ class ShardedBSPEngine(DenseBSPEngine):
         num_workers: int | None = None,
         partition: str | np.ndarray = "hash",
         start_method: str | None = None,
-        wire: str | None = None,
         check: bool = False,
         flight_recorder: "FlightRecorder | bool | None" = None,
         stall_timeout: float | None = None,
@@ -587,11 +568,6 @@ class ShardedBSPEngine(DenseBSPEngine):
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
 
-        wire = wire or os.environ.get("REPRO_SHARDED_WIRE") or "packed"
-        if wire not in WIRE_FORMATS:
-            raise ValueError(f"wire must be one of {WIRE_FORMATS}")
-        self.wire_format = wire
-        self._wire = make_wire(wire)
         #: Write-race detector state (see the ``check`` parameter).
         self.check = bool(check)
         #: Cumulative bytes put on / read from the worker pipes (frame
@@ -653,10 +629,8 @@ class ShardedBSPEngine(DenseBSPEngine):
         self.assignment = assignment
         self.shards = shard_indices(assignment, num_workers)
 
-        method = (
-            start_method
-            or os.environ.get("REPRO_SHARDED_START_METHOD")
-            or ("fork" if "fork" in get_all_start_methods() else "spawn")
+        method = start_method or (
+            "fork" if "fork" in get_all_start_methods() else "spawn"
         )
         ctx = get_context(method)
 
@@ -675,7 +649,6 @@ class ShardedBSPEngine(DenseBSPEngine):
         self._shadow: np.ndarray | None = None
         self._hist: np.ndarray | None = None
         self._shard_senders: list[np.ndarray] | None = None
-        self._shard_mode: str | None = None
         self._participants: tuple[int, ...] = ()
         self._generation = 0
         self._conns = []
@@ -689,7 +662,6 @@ class ShardedBSPEngine(DenseBSPEngine):
                 "num_arcs": graph.num_arcs,
                 "directed": graph.directed,
                 "sorted_adjacency": graph.sorted_adjacency,
-                "wire": wire,
                 "flightrec": (
                     recorder.worker_spec() if recorder is not None else None
                 ),
@@ -774,15 +746,11 @@ class ShardedBSPEngine(DenseBSPEngine):
 
         Every exchange also totals its frame bytes (both directions)
         into :attr:`pipe_bytes` and, when recorded, the per-superstep
-        ``pipe_bytes`` counter; under the packed wire the pickled
-        equivalent is sampled as ``pipe_bytes_legacy``.
+        ``pipe_bytes`` counter.
         """
         tel = self.telemetry
-        wire = self._wire
         record = tel.enabled and phase is not None
-        count_legacy = record and self.wire_format == "packed"
         nbytes = 0
-        legacy_bytes = 0
         # Freeze the barrier's identity before any pipe traffic: this is
         # what a postmortem bundle reports as "where the run died".
         self._last_barrier = {
@@ -795,8 +763,6 @@ class ShardedBSPEngine(DenseBSPEngine):
         t0 = tel.now()
         for w, payload in tasks.items():
             nbytes += wire.send(self._conns[w], payload)
-            if count_legacy:
-                legacy_bytes += legacy_frame_size(payload)
         replies: dict[int, tuple] = {}
         errors: list[tuple[int, str]] = []
         for w in tasks:
@@ -810,8 +776,6 @@ class ShardedBSPEngine(DenseBSPEngine):
                 errors.append((w, reply[1]))
             else:
                 replies[w] = reply
-                if count_legacy:
-                    legacy_bytes += legacy_frame_size(reply)
                 if record:
                     t_recv = tel.now()
                     busy = int(reply[-2])
@@ -876,12 +840,6 @@ class ShardedBSPEngine(DenseBSPEngine):
             tel.counter(
                 "pipe_bytes", nbytes, superstep=self._tel_superstep
             )
-            if count_legacy:
-                tel.counter(
-                    "pipe_bytes_legacy",
-                    legacy_bytes,
-                    superstep=self._tel_superstep,
-                )
             for w, reply in replies.items():
                 busy = int(reply[-2])
                 tel.counter(
@@ -923,7 +881,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         conn = self._conns[w]
         timeout = self.stall_timeout
         if timeout is None:
-            return self._wire.recv(conn)
+            return wire.recv(conn)
         recorder = self.flight_recorder
         deadline = time.monotonic() + timeout
         while not conn.poll(0.05):
@@ -941,7 +899,7 @@ class ShardedBSPEngine(DenseBSPEngine):
             )
             if stalled:
                 self._raise_stall(w, age if age is not None else timeout)
-        return self._wire.recv(conn)
+        return wire.recv(conn)
 
     def _raise_stall(self, w: int, age: float) -> None:
         self.stall_detected = True
@@ -1002,7 +960,6 @@ class ShardedBSPEngine(DenseBSPEngine):
             "pid": os.getpid(),
             "engine": type(self).__name__,
             "num_workers": self.num_workers,
-            "wire": self.wire_format,
             "check": self.check,
             "stall_timeout": self.stall_timeout,
             "num_vertices": int(self.graph.num_vertices),
@@ -1186,7 +1143,6 @@ class ShardedBSPEngine(DenseBSPEngine):
     def _scatter_reset(self) -> None:
         super()._scatter_reset()
         self._shard_senders = None
-        self._shard_mode = None
         self._participants = ()
 
     def _scatter(
@@ -1200,12 +1156,11 @@ class ShardedBSPEngine(DenseBSPEngine):
         self._generation += 1
         if not sent_raw:
             self._shard_senders = None
-            self._shard_mode = None
             self._participants = ()
             self._pending_raw = 0
             return 0, None
         self._shard_senders = self._split(new_senders)
-        self._shard_mode = self._choose_mode(new_senders, sent_raw)
+        mode = self._choose_mode(new_senders, sent_raw)
         self._pending_raw = sent_raw
         self._participants = tuple(
             w for w, s in enumerate(self._shard_senders) if s.size
@@ -1224,7 +1179,7 @@ class ShardedBSPEngine(DenseBSPEngine):
                     "scatter",
                     self._generation,
                     self._shard_senders[w],
-                    self._shard_mode,
+                    mode,
                 )
                 for w in self._participants
             },
@@ -1250,7 +1205,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         if self._shard_senders is None:  # resumed run: no prior scatter
             raw = int(self.graph.degrees()[senders].sum())
             self._shard_senders = self._split(senders)
-            self._shard_mode = self._choose_mode(senders, raw)
+            mode = self._choose_mode(senders, raw)
             self._participants = tuple(
                 w for w, s in enumerate(self._shard_senders) if s.size
             )
@@ -1261,7 +1216,7 @@ class ShardedBSPEngine(DenseBSPEngine):
                         "scatter",
                         self._generation,
                         self._shard_senders[w],
-                        self._shard_mode,
+                        mode,
                     )
                     for w in self._participants
                 },
@@ -1279,8 +1234,6 @@ class ShardedBSPEngine(DenseBSPEngine):
         )
         generation = self._generation
         participants = self._participants
-        shard_senders = self._shard_senders
-        mode = self._shard_mode
         superstep = self._tel_superstep
 
         check = self.check
@@ -1288,10 +1241,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         def inbox() -> np.ndarray:
             snapshot = self.values.copy() if check else None
             replies = self._exchange(
-                {
-                    w: ("gather", generation, shard_senders[w], mode)
-                    for w in participants
-                },
+                {w: ("gather", generation) for w in participants},
                 phase="gather",
             )
             if snapshot is not None:
@@ -1372,7 +1322,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         drain = self.stall_timeout if self.stall_timeout is not None else 5.0
         for conn in self._conns:
             try:
-                self._wire.send(conn, ("close",))
+                wire.send(conn, ("close",))
             except (BrokenPipeError, OSError):
                 pass
         for proc in self._procs:

@@ -27,7 +27,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.bsp._wire import PackedWire, WireFormatError
+from repro.bsp import _wire
+from repro.bsp._wire import WireFormatError
 from repro.bsp.dense import DenseBSPEngine
 from repro.bsp.parallel import ShardedBSPEngine, ShardedWriteRaceError
 from repro.bsp_algorithms.connected_components import DenseConnectedComponents
@@ -443,16 +444,25 @@ class TestWireValidation:
     def decode(self, buf):
         conn = _Loopback()
         conn.frames.append(buf)
-        return PackedWire().recv(conn)
+        return _wire.recv(conn)
 
     def test_roundtrip_still_works(self):
-        wire = PackedWire()
         conn = _Loopback()
         senders = np.array([3, 5, 8], dtype=np.int64)
-        wire.send(conn, ("scatter", 7, senders, "sparse"))
-        msg, _ = wire.recv(conn)
+        _wire.send(conn, ("scatter", 7, senders, "sparse"))
+        msg, _ = _wire.recv(conn)
         assert msg[0] == "scatter" and msg[1] == 7
         np.testing.assert_array_equal(msg[2], senders)
+
+    def test_gather_frame_is_fixed_size(self):
+        conn = _Loopback()
+        assert _wire.send(conn, ("gather", 7)) == 9
+        assert _wire.recv(conn) == (("gather", 7), 9)
+
+    def test_gather_with_trailing_bytes(self):
+        frame = bytes([0x03]) + struct.pack("<q", 7) + b"\x00"
+        with pytest.raises(WireFormatError, match="gather frame"):
+            self.decode(frame)
 
     def test_empty_frame(self):
         with pytest.raises(WireFormatError, match="empty"):

@@ -199,6 +199,28 @@ class TestShardedCrashSafety:
         pm = load_postmortem(tmp_path / "postmortem", bundle)
         assert pm["reason"] == "worker_error"
 
+    def test_gather_without_scatter_is_an_error(self):
+        """A gather frame names a generation the worker must have
+        scattered; any other generation is a protocol fault, reported
+        as a worker error instead of being silently recomputed."""
+        g = star_graph(5)
+        with ShardedBSPEngine(
+            g, num_workers=2, flight_recorder=False
+        ) as engine:
+            engine.run(DenseConnectedComponents())
+            stale = engine._generation + 1
+            with pytest.raises(
+                ShardedWorkerError, match=f"gather for generation {stale}"
+            ):
+                engine._exchange(
+                    {w: ("gather", stale) for w in range(2)},
+                    phase="gather",
+                )
+            # Both workers replied with an error frame, so the pipes
+            # stay in step and the engine stays usable.
+            dense = DenseBSPEngine(g).run(DenseConnectedComponents())
+            assert_results_equal(dense, engine.run(DenseConnectedComponents()))
+
     def test_close_is_idempotent_and_terminal(self):
         g = star_graph(5)
         engine = ShardedBSPEngine(g, num_workers=2)
